@@ -703,9 +703,11 @@ impl ResultCache {
 // On-disk checkpoint spill.
 // ---------------------------------------------------------------------
 
-/// Magic + version stamped on every spilled checkpoint file.
+/// Magic + version stamped on every spilled checkpoint file. The version
+/// changes whenever the machine state stream's layout does, so a spill
+/// left by an older build reads as missing instead of mis-decoding.
 const CKPT_MAGIC: u32 = 0x504C_434B; // "PLCK"
-const CKPT_VERSION: u32 = 1;
+const CKPT_VERSION: u32 = 2;
 
 /// The durable sibling of the in-memory checkpoint store: one
 /// `plckpt-<digest>.bin` file per in-flight job, living next to the
@@ -884,6 +886,8 @@ struct Shared {
     /// Checkpoint spill files written this process (`stats` reports it;
     /// the restart test asserts the write path actually ran).
     spills: AtomicU64,
+    /// Cycles between checkpoints for jobs whose request names no period.
+    checkpoint_period: u64,
     local_addr: Mutex<Option<SocketAddr>>,
 }
 
@@ -1160,7 +1164,7 @@ fn handle_run(shared: &Shared, req: &Value) -> Result<String, String> {
             cfg,
             mask,
             workload,
-            checkpoint_period: checkpoint_period.unwrap_or(DEFAULT_CHECKPOINT_PERIOD),
+            checkpoint_period: checkpoint_period.unwrap_or(shared.checkpoint_period),
             kill_after,
             reply: tx,
         });
@@ -1205,6 +1209,7 @@ pub fn serve(opts: &ServeOptions) -> io::Result<()> {
         hits: AtomicU64::new(0),
         misses: AtomicU64::new(0),
         spills: AtomicU64::new(0),
+        checkpoint_period: opts.checkpoint_period,
         local_addr: Mutex::new(Some(local)),
     };
     let threads = opts.threads.max(1);
@@ -1523,6 +1528,20 @@ mod tests {
         store.store(7, 200_000, 3, &state).unwrap();
         assert_eq!(store.load(7).unwrap().0, 200_000);
         assert_eq!(store.len(), 1);
+
+        // A spill with the right magic and digest but an older stream
+        // version (1) is stale: it reads as missing rather than being
+        // decoded.
+        let mut e = pl_base::Enc::new();
+        e.u32(CKPT_MAGIC);
+        e.u32(1);
+        e.u64(11);
+        e.u64(123_456);
+        e.u64(0);
+        let mut stale = e.into_bytes();
+        stale.extend_from_slice(&state);
+        std::fs::write(store.path_for(11), stale).unwrap();
+        assert!(store.load(11).is_none());
 
         // Truncated and garbage files read as missing, not as errors.
         std::fs::write(store.path_for(9), b"PL").unwrap();

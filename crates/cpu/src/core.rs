@@ -32,7 +32,7 @@ use pl_secure::scheme::LoadContext;
 use pl_secure::{IssuePolicy, PinGovernor, PinState, TaintTracker, VpMask, VpStatus};
 use pl_trace::{EventKind, TraceSource, Tracer};
 
-use crate::dyninst::{DynInst, LqEntry, PredInfo, SqEntry, SrcList, Stage};
+use crate::dyninst::{DynInst, IssueFlag, LqEntry, PredInfo, SqEntry, SrcList, Stage};
 
 /// Delay before retrying a nacked coherence request.
 const NACK_RETRY_DELAY: u64 = 5;
@@ -264,103 +264,14 @@ pub struct Core {
     agg_fence: VecDeque<SeqNum>,
     agg_mem: VecDeque<SeqNum>,
     agg_store: VecDeque<SeqNum>,
-    /// One byte per ROB entry, kept in lockstep with `rob` (pushed at
-    /// dispatch, popped at retire/squash), so the non-memory issue pass
-    /// can find its candidates without touching the ~50x larger
-    /// `DynInst` entries. Values: [`ISSUE_SKIP`] — the pass will never
-    /// act on the entry again (left `Dispatched`, or `issue_done`);
-    /// [`ISSUE_CHECK`] — re-examine every cycle (unexamined, woken,
-    /// head-gated, or blocked with no identifiable producer);
-    /// [`ISSUE_PARKED`] — blocked on `issue_blocked_on` and linked into
-    /// that producer's waiter chain, which flips the flag back to
-    /// [`ISSUE_CHECK`] when the producer completes.
-    issue_flags: VecDeque<u8>,
-    /// Seq-sorted queue of exactly the [`ISSUE_CHECK`] entries: the
+    /// Seq-sorted queue of exactly the [`IssueFlag::Check`] entries: the
     /// candidates the non-memory issue pass visits, in program order.
     /// Maintained incrementally at every flag transition (dispatch and
     /// wake insert; the pass itself drops entries it demotes; squash
-    /// back-purges), so the pass never scans the ROB or even the flag
-    /// mirror — its cost is proportional to the handful of entries that
-    /// can actually make progress.
+    /// back-purges), so the pass never scans the ROB — its cost is
+    /// proportional to the handful of entries that can actually make
+    /// progress.
     issue_queue: VecDeque<SeqNum>,
-    /// One byte per LQ entry, kept in lockstep with `lq` (pushed at
-    /// dispatch, popped at retire, truncated with the squash `retain`),
-    /// marking entries the load-issue pass must examine. Demoted to
-    /// [`LQ_SKIP`] lazily by the scan itself when it re-confirms a
-    /// skip condition whose every exit is hooked (no address yet, fill
-    /// in flight, or performed and not awaiting exposure); promoted
-    /// back to [`LQ_VISIT`] at those exits (address generation, a fill
-    /// arriving into a store-data wait). Entries that must re-poll
-    /// every cycle — VP-blocked, fence-blocked, store-data waits, or
-    /// exposure-eligible invisible loads — simply stay `LQ_VISIT`.
-    lq_flags: VecDeque<u8>,
-    /// Number of [`LQ_VISIT`] bytes currently in `lq_flags`, maintained
-    /// at every flag transition so the load-issue pass can prove in O(1)
-    /// that a scan would visit nothing (the common case on a spinning or
-    /// drained core) and return without touching the mirror at all.
-    lq_visit_count: usize,
-    /// SoA mirror of the per-entry fields the per-tick LQ *search* paths
-    /// (TSO squash scan, memory-order-violation scan, pending-pin
-    /// promotion) filter on, kept in lockstep with `lq` via
-    /// [`Core::lq_sync`]: the 64-bit word index of the entry's address
-    /// ([`LQ_NO_WORD`] until generated). Packing the filter keys into
-    /// dense arrays lets those scans reject an entry from one or two
-    /// cache lines instead of touching each ~100-byte [`LqEntry`].
-    lq_words: Vec<u64>,
-    /// SoA mirror, second column: packed status bits
-    /// ([`LQS_PERFORMED`] / [`LQS_FORWARDED`] / [`LQS_INVISIBLE`] and the
-    /// pin tag at [`LQS_PIN_SHIFT`]).
-    lq_status: Vec<u8>,
-}
-
-/// `lq_flags` value: the load-issue pass would provably no-op (and emit
-/// no stall statistics) on this entry; skip without reading it.
-const LQ_SKIP: u8 = 0;
-/// `lq_flags` value: the load-issue pass must examine this entry.
-const LQ_VISIT: u8 = 1;
-
-/// `issue_flags` value: entry needs no further attention from the
-/// non-memory issue pass.
-const ISSUE_SKIP: u8 = 0;
-/// `issue_flags` value: entry must be examined every cycle.
-const ISSUE_CHECK: u8 = 1;
-/// `issue_flags` value: entry waits on `issue_blocked_on`; examine only
-/// after a completion.
-const ISSUE_PARKED: u8 = 2;
-
-/// `lq_words` sentinel: the entry's address is not generated yet, so no
-/// word- or line-keyed scan can match it.
-const LQ_NO_WORD: u64 = u64::MAX;
-/// `lq_status` bit: the value is bound (`performed_at.is_some()`).
-const LQS_PERFORMED: u8 = 1 << 0;
-/// `lq_status` bit: the value came from store-to-load forwarding.
-const LQS_FORWARDED: u8 = 1 << 1;
-/// `lq_status` bit: the value was bound invisibly (InvisiSpec).
-const LQS_INVISIBLE: u8 = 1 << 2;
-/// `lq_status` shift of the two-bit pin tag.
-const LQS_PIN_SHIFT: u32 = 3;
-/// Pin tags stored at [`LQS_PIN_SHIFT`].
-const LQS_PIN_UNPINNED: u8 = 0;
-const LQS_PIN_PENDING: u8 = 1;
-const LQS_PIN_PINNED: u8 = 2;
-
-/// The packed `lq_status` byte for one LQ entry.
-fn lq_status_of(e: &LqEntry) -> u8 {
-    let mut s = 0u8;
-    if e.performed() {
-        s |= LQS_PERFORMED;
-    }
-    if e.forwarded {
-        s |= LQS_FORWARDED;
-    }
-    if e.invisible {
-        s |= LQS_INVISIBLE;
-    }
-    s | (match e.pin {
-        PinState::Unpinned => LQS_PIN_UNPINNED,
-        PinState::Pending => LQS_PIN_PENDING,
-        PinState::Pinned => LQS_PIN_PINNED,
-    } << LQS_PIN_SHIFT)
 }
 
 impl Core {
@@ -430,12 +341,7 @@ impl Core {
             agg_fence: VecDeque::with_capacity(cfg.core.rob_entries),
             agg_mem: VecDeque::with_capacity(cfg.core.rob_entries),
             agg_store: VecDeque::with_capacity(cfg.core.rob_entries),
-            issue_flags: VecDeque::with_capacity(cfg.core.rob_entries),
             issue_queue: VecDeque::with_capacity(cfg.core.rob_entries),
-            lq_flags: VecDeque::with_capacity(cfg.core.lq_entries),
-            lq_visit_count: 0,
-            lq_words: Vec::with_capacity(cfg.core.lq_entries),
-            lq_status: Vec::with_capacity(cfg.core.lq_entries),
         }
     }
 
@@ -1042,39 +948,14 @@ impl Core {
         } else {
             self.lq.first().map(|e| e.seq)
         };
-        // SoA scan: every predicate term is a packed column, so the usual
-        // no-victim outcome rejects each entry from the two dense mirrors
-        // without touching the LQ entries at all. The oldest-load
-        // exemption is positional — `oldest_seq` is exactly `lq[0]` —
-        // so the aggressive mode starts the scan at index 1.
-        debug_assert!(self.lq_soa_consistent());
-        let start = usize::from(oldest_seq.is_some());
-        let victim = self
-            .lq_words
-            .iter()
-            .zip(self.lq_status.iter())
-            .skip(start)
-            .position(|(&w, &s)| {
-                w != LQ_NO_WORD
-                    && w >> 3 == line.raw()
-                    && s & (LQS_PERFORMED | LQS_FORWARDED | LQS_INVISIBLE) == LQS_PERFORMED
-                    && (s >> LQS_PIN_SHIFT) & 0b11 != LQS_PIN_PINNED
-            })
-            .map(|i| &self.lq[start + i]);
-        debug_assert_eq!(
-            victim.map(|v| v.seq),
-            self.lq
-                .iter()
-                .find(|e| {
-                    e.performed()
-                        && !e.forwarded
-                        && !e.invisible
-                        && e.pin != PinState::Pinned
-                        && e.line() == Some(line)
-                        && Some(e.seq) != oldest_seq
-                })
-                .map(|e| e.seq)
-        );
+        let victim = self.lq.iter().find(|e| {
+            e.performed()
+                && !e.forwarded
+                && !e.invisible
+                && e.pin != PinState::Pinned
+                && e.line() == Some(line)
+                && Some(e.seq) != oldest_seq
+        });
         if let Some(v) = victim {
             let seq = v.seq;
             debug_assert_eq!(
@@ -1214,20 +1095,11 @@ impl Core {
     }
 
     fn promote_pending_pins(&mut self, line: LineAddr) {
-        debug_assert!(self.lq_soa_consistent());
-        for i in 0..self.lq.len() {
-            // SoA pre-filter: pin-pending entries on this line are rare,
-            // so reject on the packed columns without reading the entry.
-            if (self.lq_status[i] >> LQS_PIN_SHIFT) & 0b11 != LQS_PIN_PENDING {
+        for e in &mut self.lq {
+            if e.pin != PinState::Pending || e.line() != Some(line) {
                 continue;
             }
-            let w = self.lq_words[i];
-            if w == LQ_NO_WORD || w >> 3 != line.raw() {
-                continue;
-            }
-            debug_assert!(self.lq[i].pin == PinState::Pending && self.lq[i].line() == Some(line));
-            self.lq[i].pin = PinState::Pinned;
-            self.lq_sync(i);
+            e.pin = PinState::Pinned;
             if self.governor.record_pin(line) {
                 self.check.emit(CheckEvent::PinAcquired {
                     core: self.id,
@@ -1480,11 +1352,6 @@ impl Core {
                     }
                 }
                 self.lq.remove(0);
-                if self.lq_flags.pop_front() == Some(LQ_VISIT) {
-                    self.lq_visit_count -= 1;
-                }
-                self.lq_words.remove(0);
-                self.lq_status.remove(0);
             }
             match inst {
                 Inst::Call { .. } => self.arch_call_stack.push(pc.next()),
@@ -1505,7 +1372,6 @@ impl Core {
             }
             self.taint.clear(seq);
             self.rob.pop_front();
-            self.issue_flags.pop_front();
             self.retired += 1;
             self.tracer.emit(EventKind::Retire {
                 seq,
@@ -1810,7 +1676,6 @@ impl Core {
                     match governor.try_pin_early(line, lq_id, &live) {
                         Ok(newly_pinned) => {
                             self.lq[i].pin = PinState::Pinned;
-                            self.lq_sync(i);
                             if newly_pinned {
                                 self.check.emit(CheckEvent::PinAcquired {
                                     core: self.id,
@@ -1832,7 +1697,6 @@ impl Core {
                         && self.l1.peek(line).is_some_and(|s| s.readable())
                     {
                         self.lq[i].pin = PinState::Pinned;
-                        self.lq_sync(i);
                         if self.governor.record_pin(line) {
                             self.check.emit(CheckEvent::PinAcquired {
                                 core: self.id,
@@ -1845,7 +1709,6 @@ impl Core {
                     if e.waiting_fill {
                         let seq = e.seq;
                         self.lq[i].pin = PinState::Pending;
-                        self.lq_sync(i);
                         self.tracer.emit(EventKind::PinPending { seq, line });
                         active = true;
                         break;
@@ -2222,33 +2085,17 @@ impl Core {
         let word = addr.raw() >> 3;
         // Memory-order violation: a younger load already performed against
         // stale data (it read memory, or forwarded from a store older than
-        // this one). The SoA columns carry the word and performed bits, so
-        // the dominant no-match scan never reads an `LqEntry`.
-        debug_assert!(self.lq_soa_consistent());
-        let victim = self
-            .lq_words
-            .iter()
-            .zip(self.lq_status.iter())
-            .enumerate()
-            .filter(|&(_, (&w, &s))| w == word && s & LQS_PERFORMED != 0)
-            .map(|(i, _)| &self.lq[i])
-            .find(|l| l.seq > seq && l.forwarded_from.is_none_or(|f| f < seq));
-        debug_assert_eq!(
-            victim.map(|v| v.seq),
-            self.lq
-                .iter()
-                .find(|l| {
-                    l.seq > seq
-                        && l.performed()
-                        && l.addr.is_some_and(|a| a.raw() >> 3 == word)
-                        // The load is mis-ordered unless it already bound
-                        // its value from this store or a younger one;
-                        // values from the write buffer, memory, or an
-                        // older store are all stale.
-                        && l.forwarded_from.is_none_or(|f| f < seq)
-                })
-                .map(|l| l.seq)
-        );
+        // this one).
+        let victim = self.lq.iter().find(|l| {
+            l.seq > seq
+                && l.performed()
+                && l.addr.is_some_and(|a| a.raw() >> 3 == word)
+                // The load is mis-ordered unless it already bound its
+                // value from this store or a younger one; values from
+                // the write buffer, memory, or an older store are all
+                // stale.
+                && l.forwarded_from.is_none_or(|f| f < seq)
+        });
         if let Some(v) = victim {
             let vseq = v.seq;
             debug_assert_eq!(v.pin, PinState::Unpinned, "pinned loads are never squashed");
@@ -2288,11 +2135,11 @@ impl Core {
         let mut budget = self.cfg.core.issue_width;
         // Non-memory and address-generation issue. Candidates come from
         // `issue_queue`: the program-order sequence numbers of exactly
-        // the `ISSUE_CHECK` entries, maintained incrementally at
+        // the `IssueFlag::Check` entries, maintained incrementally at
         // dispatch, wake, squash, and at each visit below — so the pass
         // touches only entries that can possibly make progress, with no
         // per-tick collection scan. Parked entries never appear here —
-        // their producer's completion flips them back to `ISSUE_CHECK`
+        // their producer's completion flips them back to `IssueFlag::Check`
         // via its waiter chain, so a blocked arm is re-run exactly when
         // its operands may have become ready.
         debug_assert!(self.issue_flags_consistent());
@@ -2303,7 +2150,7 @@ impl Core {
         // revisit them.
         while qi < self.issue_queue.len() && budget > 0 {
             let seq = self.issue_queue[qi];
-            // A queued (`ISSUE_CHECK`) entry cannot have retired —
+            // A queued (`IssueFlag::Check`) entry cannot have retired —
             // completion demotes the flag and dequeues first — so its
             // ROB slot is the seq offset from the head, which is stable
             // for the whole pass (no retirement here, and squashes only
@@ -2315,7 +2162,7 @@ impl Core {
                 if e.stage != Stage::Dispatched || e.issue_done {
                     // Progressed through another path since the flag was
                     // set; drop the entry from future scans.
-                    self.issue_flags[idx] = ISSUE_SKIP;
+                    self.rob[idx].issue_flag = IssueFlag::Skip;
                     break 'entry;
                 }
                 if let Some(p) = e.issue_blocked_on {
@@ -2334,7 +2181,7 @@ impl Core {
                         // this entry — completion needs no waiter wake.
                         debug_assert!(self.rob[idx].first_waiter.is_none());
                         self.rob[idx].stage = Stage::Completed;
-                        self.issue_flags[idx] = ISSUE_SKIP;
+                        self.rob[idx].issue_flag = IssueFlag::Skip;
                         active = true;
                     }
                     Inst::Halt => {
@@ -2343,7 +2190,7 @@ impl Core {
                         if idx == 0 {
                             debug_assert!(self.rob[idx].first_waiter.is_none());
                             self.rob[idx].stage = Stage::Completed;
-                            self.issue_flags[idx] = ISSUE_SKIP;
+                            self.rob[idx].issue_flag = IssueFlag::Skip;
                             active = true;
                         }
                     }
@@ -2351,7 +2198,7 @@ impl Core {
                         if idx == 0 && self.wb.is_empty() {
                             debug_assert!(self.rob[idx].first_waiter.is_none());
                             self.rob[idx].stage = Stage::Completed;
-                            self.issue_flags[idx] = ISSUE_SKIP;
+                            self.rob[idx].issue_flag = IssueFlag::Skip;
                             active = true;
                         }
                     }
@@ -2383,7 +2230,7 @@ impl Core {
                         };
                         self.rob[idx].result = Some(op.apply(a, b));
                         self.rob[idx].stage = Stage::Executing { done_at: now + lat };
-                        self.issue_flags[idx] = ISSUE_SKIP;
+                        self.rob[idx].issue_flag = IssueFlag::Skip;
                         self.exec_heap.push(Reverse((now + lat, seq)));
                         budget -= 1;
                         active = true;
@@ -2398,14 +2245,14 @@ impl Core {
                             break 'entry;
                         }
                         self.rob[idx].stage = Stage::Executing { done_at: now + 1 };
-                        self.issue_flags[idx] = ISSUE_SKIP;
+                        self.rob[idx].issue_flag = IssueFlag::Skip;
                         self.exec_heap.push(Reverse((now + 1, seq)));
                         budget -= 1;
                         active = true;
                     }
                     Inst::Jump { .. } | Inst::Call { .. } | Inst::Ret => {
                         self.rob[idx].stage = Stage::Executing { done_at: now + 1 };
-                        self.issue_flags[idx] = ISSUE_SKIP;
+                        self.rob[idx].issue_flag = IssueFlag::Skip;
                         self.exec_heap.push(Reverse((now + 1, seq)));
                         budget -= 1;
                         active = true;
@@ -2421,7 +2268,7 @@ impl Core {
                             // load is squashed outright), so this pass is done
                             // with the entry; issue_loads takes it from here.
                             self.rob[idx].issue_done = true;
-                            self.issue_flags[idx] = ISSUE_SKIP;
+                            self.rob[idx].issue_flag = IssueFlag::Skip;
                             break 'entry;
                         }
                         let b = match self.operand_or_blocker(seq, base) {
@@ -2436,10 +2283,8 @@ impl Core {
                             _ => unreachable!(),
                         };
                         self.lq[lq_idx].addr = Some(Addr::new(b.wrapping_add(offset as u64)));
-                        self.lq_sync(lq_idx);
-                        self.lq_promote(lq_idx);
                         self.rob[idx].issue_done = true;
-                        self.issue_flags[idx] = ISSUE_SKIP;
+                        self.rob[idx].issue_flag = IssueFlag::Skip;
                         budget -= 1;
                         active = true;
                     }
@@ -2481,7 +2326,7 @@ impl Core {
                                 if let Some(e) = self.rob_entry_mut(seq) {
                                     if e.stage == Stage::Dispatched {
                                         e.stage = Stage::Executing { done_at: now + 1 };
-                                        self.issue_flags[idx] = ISSUE_SKIP;
+                                        e.issue_flag = IssueFlag::Skip;
                                         self.exec_heap.push(Reverse((now + 1, seq)));
                                         active = true;
                                     }
@@ -2502,7 +2347,7 @@ impl Core {
             if self.issue_queue.get(qi).copied() != Some(seq) {
                 continue;
             }
-            if self.issue_flags[idx] == ISSUE_CHECK {
+            if self.rob[idx].issue_flag == IssueFlag::Check {
                 qi += 1;
             } else {
                 self.issue_queue.remove(qi);
@@ -2518,35 +2363,11 @@ impl Core {
         let mut active = false;
         let mut ports = 3usize; // L1-D read ports (Table 1)
         let aggr = self.aggr;
-        // Candidates come from the LQ flag mirror (see `lq_flags`): the
-        // scan walks one byte per LQ entry and reads an actual entry
-        // only when its flag says the visit could do something. A
-        // skipped entry is one this scan would provably no-op on, so
-        // visiting the flagged subset is equivalent to the full scan.
-        // Unlike the ROB pass there is no candidate queue: in lock-heavy
-        // parallel code a large fraction of the LQ stays `LQ_VISIT`
-        // (fence- and VP-blocked loads emit stall statistics every
-        // cycle), so indirection would cost more than the byte scan.
-        debug_assert!(self.lq_flags_consistent());
-        // O(1) early-out: with no `LQ_VISIT` entries the byte scan below
-        // would no-op without emitting a single statistic, so skipping it
-        // entirely is indistinguishable. This is the steady state of a
-        // core spinning on performed loads or blocked behind a fill.
-        if self.lq_visit_count == 0 {
-            return false;
-        }
         let mut i = 0usize;
         // Visits can squash an LQ suffix (validation mismatch); the
         // bound is re-read every iteration, so a truncated tail is
         // simply never reached.
-        while i < self.lq.len() {
-            if ports == 0 {
-                break;
-            }
-            if self.lq_flags[i] != LQ_VISIT {
-                i += 1;
-                continue;
-            }
+        while i < self.lq.len() && ports > 0 {
             'load: {
                 let e = &self.lq[i];
                 let seq = e.seq;
@@ -2561,14 +2382,9 @@ impl Core {
                     break 'load;
                 }
                 if e.performed() || e.waiting_fill {
-                    // Terminal for this scan until an explicitly hooked event
-                    // (fill arrival, exposure outcome) re-promotes the flag.
-                    self.lq_demote(i);
                     break 'load;
                 }
                 let Some(addr) = e.addr else {
-                    // Address generation re-promotes.
-                    self.lq_demote(i);
                     break 'load;
                 };
                 // Loads younger than an active fence must not issue.
@@ -2656,7 +2472,6 @@ impl Core {
                     self.tracer.emit(EventKind::IssueLoad { seq, line, l1_hit });
                     self.perform_load(i, v, false, None, now, false);
                     self.lq[i].invisible = true;
-                    self.lq_sync(i);
                     if let Some(d) = self.rob_entry_mut(seq) {
                         // Override the L1-hit deadline `perform_load` set
                         // with the invisible access's latency. The heap
@@ -2711,7 +2526,6 @@ impl Core {
                                 && self.pin_eligible_base(i, &aggr)
                             {
                                 self.lq[i].pin = PinState::Pending;
-                                self.lq_sync(i);
                                 self.tracer.emit(EventKind::PinPending { seq, line });
                             }
                             if primary {
@@ -2788,7 +2602,6 @@ impl Core {
         if current == bound {
             self.lq[i].invisible = false;
             self.lq[i].exposing = false;
-            self.lq_sync(i);
             self.stats.incr_id(self.ids.loads_validated);
         } else {
             let pc = self.rob_entry(seq).expect("load in ROB").pc;
@@ -2843,7 +2656,6 @@ impl Core {
         e.forwarded_from = forwarded_from;
         e.waiting_fill = false;
         let seq = e.seq;
-        self.lq_sync(i);
         self.stats.incr_id(self.ids.loads_performed);
         if forwarded {
             self.stats.incr_id(self.ids.loads_forwarded);
@@ -2876,9 +2688,6 @@ impl Core {
             return;
         }
         self.lq[i].waiting_fill = false;
-        // Even if forwarding below finds a store still missing its data,
-        // the load re-enters the issue pass's per-cycle retry.
-        self.lq_promote(i);
         let addr = self.lq[i].addr.expect("waiting load has an address");
         let word = addr.raw() >> 3;
         // An older store may have resolved while the fill was in flight;
@@ -2959,24 +2768,24 @@ impl Core {
                 if !self.rob[pidx].completed() {
                     // Park until the producer completes: link this entry
                     // into the producer's waiter chain, whose walk at
-                    // completion flips the flag back to `ISSUE_CHECK`.
+                    // completion flips the flag back to `IssueFlag::Check`.
                     let seq = self.rob[idx].seq;
                     debug_assert!(self.rob[idx].next_waiter.is_none());
                     let prev = self.rob[pidx].first_waiter.replace(seq);
                     self.rob[idx].next_waiter = prev;
-                    self.issue_flags[idx] = ISSUE_PARKED;
+                    self.rob[idx].issue_flag = IssueFlag::Parked;
                     return;
                 }
             }
         }
         // No identifiable in-flight producer (retired, or completed with
         // no result): re-examine every cycle — the unmemoized behaviour.
-        self.issue_flags[idx] = ISSUE_CHECK;
+        self.rob[idx].issue_flag = IssueFlag::Check;
     }
 
     /// Wakes every issue-pass waiter parked on `pseq`, which has just
     /// completed: clears the chain and flips each waiter's flag back to
-    /// [`ISSUE_CHECK`] so the next issue pass re-runs its arm.
+    /// [`IssueFlag::Check`] so the next issue pass re-runs its arm.
     fn wake_waiters(&mut self, pseq: SeqNum) {
         let Some(front) = self.rob.front() else {
             return;
@@ -2991,7 +2800,7 @@ impl Core {
             debug_assert_eq!(waiter.seq, ws);
             debug_assert_eq!(waiter.issue_blocked_on, Some(pseq));
             w = waiter.next_waiter.take();
-            self.issue_flags[widx] = ISSUE_CHECK;
+            waiter.issue_flag = IssueFlag::Check;
             let pos = self.issue_queue.partition_point(|&s| s < ws);
             debug_assert_ne!(self.issue_queue.get(pos).copied(), Some(ws));
             self.issue_queue.insert(pos, ws);
@@ -3020,83 +2829,28 @@ impl Core {
         debug_assert!(false, "parked entry missing from its producer's chain");
     }
 
-    /// Promotes LQ entry `i` for examination by the load-issue scan.
-    fn lq_promote(&mut self, i: usize) {
-        if self.lq_flags[i] != LQ_VISIT {
-            self.lq_flags[i] = LQ_VISIT;
-            self.lq_visit_count += 1;
-        }
-    }
-
-    /// Demotes LQ entry `i`: the load-issue scan proved it will no-op on
-    /// the entry until an explicitly hooked event re-promotes it.
-    fn lq_demote(&mut self, i: usize) {
-        debug_assert_eq!(self.lq_flags[i], LQ_VISIT);
-        self.lq_flags[i] = LQ_SKIP;
-        self.lq_visit_count -= 1;
-    }
-
-    /// Re-derives LQ entry `i`'s SoA mirror columns after any mutation of
-    /// the fields they pack (address, performed, forwarded, invisible,
-    /// pin). Every `LqEntry` mutation site calls this.
-    fn lq_sync(&mut self, i: usize) {
-        let e = &self.lq[i];
-        self.lq_words[i] = e.addr.map_or(LQ_NO_WORD, |a| a.raw() >> 3);
-        self.lq_status[i] = lq_status_of(e);
-    }
-
-    /// Debug oracle: every `LQ_SKIP` entry must satisfy a skip condition
-    /// of the load-issue scan (no stats, no side effects), so skipping it
-    /// is indistinguishable from visiting it. `LQ_VISIT` may be stale the
-    /// other way (a visit that no-ops and demotes) — that is harmless.
-    /// Also checks the maintained visit count against a recount.
-    fn lq_flags_consistent(&self) -> bool {
-        self.lq_flags.len() == self.lq.len()
-            && self.lq_visit_count == self.lq_flags.iter().filter(|&&f| f == LQ_VISIT).count()
-            && self.lq.iter().zip(self.lq_flags.iter()).all(|(e, &f)| {
-                f == LQ_VISIT
-                    || e.addr.is_none()
-                    || e.waiting_fill
-                    || (e.performed() && (!e.invisible || e.exposing))
-            })
-    }
-
-    /// Debug oracle: the SoA mirror columns must equal a re-derivation
-    /// from the LQ entries themselves.
-    fn lq_soa_consistent(&self) -> bool {
-        self.lq_words.len() == self.lq.len()
-            && self.lq_status.len() == self.lq.len()
-            && self.lq.iter().enumerate().all(|(i, e)| {
-                self.lq_words[i] == e.addr.map_or(LQ_NO_WORD, |a| a.raw() >> 3)
-                    && self.lq_status[i] == lq_status_of(e)
-            })
-    }
-
-    /// Debug oracle: checks the flag mirror against the ROB. `ISSUE_SKIP`
-    /// exactly covers entries the issue pass can never act on again, and
-    /// a parked entry always names a live, incomplete producer (its wake
+    /// Debug oracle: checks each ROB entry's issue flag. `Skip` exactly
+    /// covers entries the issue pass can never act on again, and a
+    /// parked entry always names a live, incomplete producer (its wake
     /// fires when that producer completes). Also checks that
-    /// `issue_queue` holds exactly the `ISSUE_CHECK` seqs, in program
-    /// order (the ROB is seq-sorted, so element-wise equality covers
+    /// `issue_queue` holds exactly the `Check` seqs, in program order
+    /// (the ROB is seq-sorted, so element-wise equality covers
     /// membership and sortedness at once).
     fn issue_flags_consistent(&self) -> bool {
-        self.issue_flags.len() == self.rob.len()
-            && self.rob.iter().zip(self.issue_flags.iter()).all(|(e, &f)| {
-                if e.stage != Stage::Dispatched || e.issue_done {
-                    f == ISSUE_SKIP
-                } else if f == ISSUE_PARKED {
-                    e.issue_blocked_on
-                        .is_some_and(|p| self.rob_entry(p).is_some_and(|d| !d.completed()))
-                } else {
-                    f == ISSUE_CHECK
-                }
-            })
-            && self.issue_queue.iter().copied().eq(self
-                .rob
-                .iter()
-                .zip(self.issue_flags.iter())
-                .filter(|&(_, &f)| f == ISSUE_CHECK)
-                .map(|(e, _)| e.seq))
+        self.rob.iter().all(|e| {
+            if e.stage != Stage::Dispatched || e.issue_done {
+                e.issue_flag == IssueFlag::Skip
+            } else if e.issue_flag == IssueFlag::Parked {
+                e.issue_blocked_on
+                    .is_some_and(|p| self.rob_entry(p).is_some_and(|d| !d.completed()))
+            } else {
+                e.issue_flag == IssueFlag::Check
+            }
+        }) && self.issue_queue.iter().copied().eq(self
+            .rob
+            .iter()
+            .filter(|e| e.issue_flag == IssueFlag::Check)
+            .map(|e| e.seq))
     }
 
     /// Like [`Core::try_operand`], but a failure also reports which
@@ -3179,12 +2933,6 @@ impl Core {
             if f.inst.is_load() && !f.inst.is_atomic() {
                 let lq_id = self.governor.alloc_lq_id();
                 self.lq.push(LqEntry::new(seq, lq_id));
-                // No address yet: the load-issue pass would skip it;
-                // address generation promotes the flag.
-                self.lq_flags.push_back(LQ_SKIP);
-                // Fresh entry: no address, no status bits set.
-                self.lq_words.push(LQ_NO_WORD);
-                self.lq_status.push(0);
             }
             if matches!(f.inst, Inst::Store { .. }) {
                 self.sq.push(SqEntry::new(seq));
@@ -3206,14 +2954,16 @@ impl Core {
                 // Atomics never progress in the issue pass (step_atomic
                 // drives them at the head), so skip them from the start.
                 issue_done: f.inst.is_atomic(),
+                issue_flag: if f.inst.is_atomic() {
+                    IssueFlag::Skip
+                } else {
+                    IssueFlag::Check
+                },
                 issue_blocked_on: None,
                 first_waiter: None,
                 next_waiter: None,
             });
-            if f.inst.is_atomic() {
-                self.issue_flags.push_back(ISSUE_SKIP);
-            } else {
-                self.issue_flags.push_back(ISSUE_CHECK);
+            if !f.inst.is_atomic() {
                 // New entries carry the highest seq, so program order
                 // is preserved by appending.
                 self.issue_queue.push_back(seq);
@@ -3306,8 +3056,7 @@ impl Core {
                 break;
             }
             let e = self.rob.pop_back().expect("back checked");
-            let f = self.issue_flags.pop_back().expect("mirror in lockstep");
-            if f == ISSUE_PARKED {
+            if e.issue_flag == IssueFlag::Parked {
                 // Keep the waiter chains free of dead links: the chain
                 // walk at wake and the dense-offset lookups rely on
                 // every linked waiter being live.
@@ -3326,16 +3075,6 @@ impl Core {
             "a pinned load is being squashed"
         );
         self.lq.retain(|e| e.seq < first_bad);
-        // The LQ is seq-sorted, so the retain removed a suffix; the
-        // flag and SoA mirrors shrink in lockstep.
-        for &f in self.lq_flags.iter().skip(self.lq.len()) {
-            if f == LQ_VISIT {
-                self.lq_visit_count -= 1;
-            }
-        }
-        self.lq_flags.truncate(self.lq.len());
-        self.lq_words.truncate(self.lq.len());
-        self.lq_status.truncate(self.lq.len());
         self.sq.retain(|e| e.seq < first_bad);
         // Back-purge the sorted candidate queue: a squash rewinds
         // `next_seq`, so a reused seq must never alias a stale entry.
@@ -3711,12 +3450,7 @@ impl Core {
             agg_fence,
             agg_mem,
             agg_store,
-            issue_flags,
             issue_queue,
-            lq_flags,
-            lq_visit_count,
-            lq_words,
-            lq_status,
         } = base;
         *fetch_pc == probe.fetch_pc
             && *fetch_halted == probe.fetch_halted
@@ -3749,12 +3483,7 @@ impl Core {
             && *agg_fence == probe.agg_fence
             && *agg_mem == probe.agg_mem
             && *agg_store == probe.agg_store
-            && *issue_flags == probe.issue_flags
             && *issue_queue == probe.issue_queue
-            && *lq_flags == probe.lq_flags
-            && *lq_visit_count == probe.lq_visit_count
-            && *lq_words == probe.lq_words
-            && *lq_status == probe.lq_status
     }
 
     // ------------------------------------------------------------------
@@ -3851,14 +3580,6 @@ impl Core {
         self.stats.encode_into(e);
         e.bool(self.halted);
         e.u64(self.retired);
-        e.usize(self.issue_flags.len());
-        for &f in &self.issue_flags {
-            e.u8(f);
-        }
-        e.usize(self.lq_flags.len());
-        for &f in &self.lq_flags {
-            e.u8(f);
-        }
         for q in [
             &self.agg_ctrl,
             &self.agg_fence,
@@ -3880,9 +3601,8 @@ impl Core {
 
     /// Overlays state encoded by [`Core::encode_into`] onto a freshly
     /// constructed core with the same id, configuration, and program.
-    /// Derived structures that the encoding omits — the issue-candidate
-    /// queue, the LQ SoA mirror, and the visit count — are rebuilt from
-    /// the decoded state.
+    /// The issue-candidate queue, which the encoding omits, is rebuilt
+    /// from the decoded ROB entries' issue flags.
     pub fn decode_overlay(&mut self, d: &mut Dec<'_>) -> Result<(), String> {
         self.bp.decode_overlay(d)?;
         self.fetch_pc = Pc(d.usize()?);
@@ -3988,36 +3708,6 @@ impl Core {
         self.stats.decode_overlay(d)?;
         self.halted = d.bool()?;
         self.retired = d.u64()?;
-        self.issue_flags.clear();
-        for _ in 0..d.usize()? {
-            let f = d.u8()?;
-            if f > ISSUE_PARKED {
-                return Err(format!("core: bad issue flag {f}"));
-            }
-            self.issue_flags.push_back(f);
-        }
-        if self.issue_flags.len() != self.rob.len() {
-            return Err(format!(
-                "core: {} issue flags for {} ROB entries",
-                self.issue_flags.len(),
-                self.rob.len()
-            ));
-        }
-        self.lq_flags.clear();
-        for _ in 0..d.usize()? {
-            let f = d.u8()?;
-            if f > LQ_VISIT {
-                return Err(format!("core: bad LQ flag {f}"));
-            }
-            self.lq_flags.push_back(f);
-        }
-        if self.lq_flags.len() != self.lq.len() {
-            return Err(format!(
-                "core: {} LQ flags for {} LQ entries",
-                self.lq_flags.len(),
-                self.lq.len()
-            ));
-        }
         for q in [
             &mut self.agg_ctrl,
             &mut self.agg_fence,
@@ -4044,23 +3734,14 @@ impl Core {
             let s = SeqNum(d.u64()?);
             self.exec_heap.push(Reverse((c, s)));
         }
-        // Rebuild the derived structures the encoding omits.
+        // Rebuild the candidate queue the encoding omits.
         self.issue_queue.clear();
-        for (r, &f) in self.rob.iter().zip(self.issue_flags.iter()) {
-            if f == ISSUE_CHECK {
-                self.issue_queue.push_back(r.seq);
-            }
-        }
-        self.lq_visit_count = self.lq_flags.iter().filter(|&&f| f == LQ_VISIT).count();
-        self.lq_words.clear();
-        self.lq_status.clear();
-        for i in 0..self.lq.len() {
-            self.lq_words.push(LQ_NO_WORD);
-            self.lq_status.push(0);
-            self.lq_sync(i);
-        }
-        debug_assert!(self.lq_flags_consistent());
-        debug_assert!(self.lq_soa_consistent());
+        self.issue_queue.extend(
+            self.rob
+                .iter()
+                .filter(|r| r.issue_flag == IssueFlag::Check)
+                .map(|r| r.seq),
+        );
         Ok(())
     }
 
@@ -4121,6 +3802,12 @@ impl Core {
             srcs,
             dispatched_at: Cycle(d.u64()?),
             issue_done: d.bool()?,
+            issue_flag: match d.u8()? {
+                0 => IssueFlag::Skip,
+                1 => IssueFlag::Check,
+                2 => IssueFlag::Parked,
+                t => return Err(format!("core: bad issue flag {t}")),
+            },
             issue_blocked_on: d.opt_u64()?.map(SeqNum),
             first_waiter: d.opt_u64()?.map(SeqNum),
             next_waiter: d.opt_u64()?.map(SeqNum),
@@ -4241,6 +3928,11 @@ fn encode_dyninst(e: &mut Enc, r: &DynInst) {
     }
     e.u64(r.dispatched_at.raw());
     e.bool(r.issue_done);
+    e.u8(match r.issue_flag {
+        IssueFlag::Skip => 0,
+        IssueFlag::Check => 1,
+        IssueFlag::Parked => 2,
+    });
     e.opt_u64(r.issue_blocked_on.map(|s| s.0));
     e.opt_u64(r.first_waiter.map(|s| s.0));
     e.opt_u64(r.next_waiter.map(|s| s.0));

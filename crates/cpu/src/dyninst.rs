@@ -20,6 +20,21 @@ pub enum Stage {
     Completed,
 }
 
+/// Where the non-memory issue pass stands with a ROB entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IssueFlag {
+    /// The pass will never act on the entry again (left `Dispatched`,
+    /// or `issue_done`).
+    Skip,
+    /// Re-examine every cycle (unexamined, woken, head-gated, or blocked
+    /// with no identifiable producer). Exactly these entries are queued
+    /// in the core's issue queue.
+    Check,
+    /// Blocked on `issue_blocked_on` and linked into that producer's
+    /// waiter chain, whose walk at completion flips it back to `Check`.
+    Parked,
+}
+
 /// A control instruction's prediction record, checked at resolution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PredInfo {
@@ -106,6 +121,10 @@ pub struct DynInst {
     /// the commit-side state machine). Purely an iteration-skip hint;
     /// never consulted by architectural logic.
     pub issue_done: bool,
+    /// Issue-pass memo: whether the non-memory issue pass still has to
+    /// examine this entry. Purely an iteration-skip hint; never consulted
+    /// by architectural logic.
+    pub issue_flag: IssueFlag,
     /// Issue-pass memo: the in-flight producer that last blocked this
     /// entry's operands. The issue pass skips the entry while that
     /// producer is still in the ROB and incomplete — a re-run of the
@@ -304,6 +323,7 @@ mod tests {
             srcs: SrcList::new(),
             dispatched_at: Cycle(0),
             issue_done: false,
+            issue_flag: IssueFlag::Check,
             issue_blocked_on: None,
             first_waiter: None,
             next_waiter: None,

@@ -18,7 +18,7 @@ pub mod core;
 pub mod dyninst;
 
 pub use crate::core::{Core, SpinDelta, OCC_SAMPLE_PERIOD};
-pub use dyninst::{DynInst, LqEntry, PredInfo, SqEntry, Stage};
+pub use dyninst::{DynInst, IssueFlag, LqEntry, PredInfo, SqEntry, Stage};
 
 #[cfg(test)]
 mod tests {

@@ -101,15 +101,25 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Everything the
+/// workspace writes nests fewer than 10 levels; the bound keeps the
+/// recursive descent from overflowing the stack on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message naming the byte offset of the first
-/// syntax error, including trailing garbage after the document.
+/// syntax error, including trailing garbage after the document and
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -122,6 +132,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -150,8 +162,18 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => {
+                self.enter()?;
+                let v = self.object();
+                self.depth -= 1;
+                v
+            }
+            Some(b'[') => {
+                self.enter()?;
+                let v = self.array();
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -159,6 +181,18 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Opens one array or object, refusing past [`MAX_DEPTH`].
+    fn enter(&mut self) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
@@ -330,6 +364,23 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn bounds_nesting_depth() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let obj = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&obj).unwrap_err().contains("nesting deeper"));
+        // Far past any stack budget: rejected, not a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

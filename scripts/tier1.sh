@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 # Perf lints are advisory (warn, not deny): surface regressions in the
 # simulator kernel's hot loops without blocking unrelated changes.
@@ -50,6 +50,11 @@ unset SERVE_PID
 # ff_equivalence spin_parking filter re-proves the spin-parking twins
 # bit-identical with every debug_assert! in the park/replay path armed.
 cargo test -q --profile checked --test protocol_invariants --test verify_checker
+# The core and machine unit tests with debug assertions armed, so the
+# surviving incremental-structure oracles (`issue_flags_consistent`,
+# `aggregates_reference`) check every tick of the codec, spin and
+# pipeline tests.
+cargo test -q --profile checked -p pl-cpu -p pl-machine
 cargo test -q --profile checked --test ff_equivalence spin_parking
 # The attack suite under debug assertions: non-vacuity, mitigation
 # direction, and sweep determinism with the transient-shadow and

@@ -359,3 +359,44 @@ fn server_restart_resumes_from_disk_spill() {
     assert_eq!(serve::extract_result(&resp).unwrap(), direct_json);
     server.shutdown();
 }
+
+/// `ServeOptions::checkpoint_period` is the server-wide default: a job
+/// whose request names no period still checkpoints (and spills) on the
+/// server's schedule.
+#[test]
+fn server_checkpoint_period_applies_to_requests_without_one() {
+    let cfg = test_config();
+    let w = test_workload();
+    let mut m = Machine::new(&cfg).unwrap();
+    w.install(&mut m);
+    let cycles = m.run(2_000_000_000).unwrap().cycles;
+    assert!(
+        cycles < serve::DEFAULT_CHECKPOINT_PERIOD,
+        "the job must be too short to checkpoint on the built-in default"
+    );
+
+    let server = start_server("default-period", (cycles / 4).max(1));
+    let line = serve::run_request_json(&cfg, None, &w, None, None);
+    let resp = serve::request(&server.addr, &line).unwrap();
+    assert!(!serve::response_was_cached(&resp), "{resp}");
+    let stats = serve::request(&server.addr, "{\"cmd\":\"stats\"}").unwrap();
+    assert!(
+        !stats.contains("\"ckpt_spills\":\"0\""),
+        "the server's checkpoint period was ignored: {stats}"
+    );
+    server.shutdown();
+}
+
+/// A request nested far past any sane depth gets an error reply instead
+/// of overflowing the connection thread's stack, and the server keeps
+/// answering afterwards.
+#[test]
+fn deeply_nested_request_is_rejected_and_server_survives() {
+    let server = start_server("nesting", serve::DEFAULT_CHECKPOINT_PERIOD);
+    let resp = serve::request(&server.addr, &"[".repeat(200_000)).unwrap();
+    assert!(resp.contains("\"ok\":false"), "{resp}");
+    assert!(resp.contains("bad request"), "{resp}");
+    let pong = serve::request(&server.addr, "{\"cmd\":\"ping\"}").unwrap();
+    assert_eq!(pong, "{\"ok\":true}");
+    server.shutdown();
+}
