@@ -42,11 +42,12 @@
 //! the cache directory with buffers that defeat its purpose.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
+use std::time::Duration;
 
 use pl_base::digest::Fnv1a;
 use pl_base::{
@@ -66,6 +67,17 @@ pub const JOB_DIGEST_SCHEMA: u64 = 2;
 
 /// Default cycles between checkpoints for jobs that don't override it.
 pub const DEFAULT_CHECKPOINT_PERIOD: u64 = 250_000;
+
+/// Longest request line the server reads, newline excluded. The largest
+/// request any suite builds is about 216 KB; a longer line gets a
+/// `bad request` reply instead of growing server memory without bound.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
+/// How long a connection may go silent while the server reads its
+/// request line. [`request`] writes its line at once; without the bound an
+/// idle client would hold its connection thread, and with it the
+/// `shutdown` that joins that thread, forever.
+const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 // ---------------------------------------------------------------------
 // JSON helpers: u64-as-string encoding over the f64-backed parser.
@@ -1063,16 +1075,31 @@ fn error_response(msg: &str) -> String {
 /// Handles one client connection: read one request line, write one
 /// response line. Returns `true` if this request asked for shutdown.
 fn handle_connection(shared: &Shared, mut stream: TcpStream) -> bool {
-    let mut line = String::new();
+    let mut buf = Vec::new();
+    if stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT)).is_err()
+        || BufReader::new(&stream)
+            .take(MAX_REQUEST_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)
+            .is_err()
     {
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return false,
-        });
-        if reader.read_line(&mut line).is_err() {
+        return false;
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    }
+    if buf.len() > MAX_REQUEST_BYTES {
+        let msg = format!("bad request: line longer than {MAX_REQUEST_BYTES} bytes");
+        respond(&mut stream, &error_response(&msg));
+        return false;
+    }
+    let line = match String::from_utf8(buf) {
+        Ok(line) => line,
+        Err(e) => {
+            let msg = format!("bad request: line is not UTF-8: {}", e.utf8_error());
+            respond(&mut stream, &error_response(&msg));
             return false;
         }
-    }
+    };
     let line = line.trim();
     if line.is_empty() {
         return false;

@@ -116,6 +116,7 @@ pub const MAX_DEPTH: usize = 128;
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut p = Parser {
+        text,
         bytes,
         pos: 0,
         depth: 0,
@@ -130,6 +131,8 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    /// The input; `bytes` is the same text, for byte-wise scanning.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -259,13 +262,20 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain characters up to the next `"` or `\`.
+            // Both are ASCII, so the run ends on a char boundary of `text`.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -276,31 +286,51 @@ impl Parser<'_> {
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // boundaries are always valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at `pos`, joining a UTF-16
+    /// surrogate pair `\uD8xx\uDCxx` into one char, and leaves `pos` on
+    /// the escape's last hex digit.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let escape_at = self.pos - 1;
+        let code = self.hex4(self.pos + 1)?;
+        self.pos += 4;
+        let joined = if (0xD800..0xDC00).contains(&code)
+            && self.bytes.get(self.pos + 1..self.pos + 3) == Some(b"\\u")
+        {
+            let low = self.hex4(self.pos + 3)?;
+            if (0xDC00..0xE000).contains(&low) {
+                self.pos += 6;
+                Some(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+            } else {
+                None
+            }
+        } else {
+            Some(code)
+        };
+        joined
+            .and_then(char::from_u32)
+            .ok_or_else(|| format!("lone surrogate in \\u escape at byte {escape_at}"))
+    }
+
+    /// The four hex digits starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        let mut code = 0;
+        for (i, &b) in hex.iter().enumerate() {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| format!("invalid hex digit in \\u escape at byte {}", at + i))?;
+            code = code << 4 | digit;
+        }
+        Ok(code)
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -381,6 +411,61 @@ mod tests {
         assert!(parse(&obj).unwrap_err().contains("nesting deeper"));
         // Far past any stack budget: rejected, not a stack overflow.
         assert!(parse(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn joins_surrogate_pairs_and_rejects_lone_surrogates() {
+        assert_eq!(
+            parse(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("\u{1f600}")
+        );
+        assert_eq!(
+            parse(r#""a\uD834\uDD1Eb""#).unwrap().as_str(),
+            Some("a\u{1d11e}b")
+        );
+        for (doc, at) in [
+            (r#""\ud83d""#, 1),
+            (r#""\ud83dx""#, 1),
+            (r#""\ud83d\u0041""#, 1),
+            (r#""x\ude00""#, 2),
+        ] {
+            let err = parse(doc).unwrap_err();
+            assert_eq!(err, format!("lone surrogate in \\u escape at byte {at}"));
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u00e9\u00C9""#).unwrap().as_str(), Some("éÉ"));
+        for (doc, at) in [
+            (r#"{"cmd":"ping","x":"\u+041"}"#, 21),
+            (r#""\u-041""#, 3),
+            (r#""\u 041""#, 3),
+            (r#""\u00g1""#, 5),
+            (r#""\u004""#, 6),
+            (r#""\ud83d\u+e00""#, 9),
+            ("\"\\u00\u{e9}\"", 5),
+        ] {
+            let err = parse(doc).unwrap_err();
+            assert_eq!(
+                err,
+                format!("invalid hex digit in \\u escape at byte {at}"),
+                "{doc}"
+            );
+        }
+        assert_eq!(parse(r#""\u004"#).unwrap_err(), "truncated \\u escape");
+    }
+
+    #[test]
+    fn parses_a_one_mebibyte_string() {
+        let unit = "plain ascii, é, 日本, 😀, \"quoted\", back\\slash, \u{1}\n";
+        let want = unit.repeat((1 << 20) / unit.len() + 1);
+        let doc = format!("[{{\"s\":\"{}\"}}]", escape(&want));
+        let v = parse(&doc).unwrap();
+        assert_eq!(
+            v.as_arr().unwrap()[0].get("s").and_then(Value::as_str),
+            Some(&*want)
+        );
     }
 
     #[test]

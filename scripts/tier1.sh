@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
+# The benchmark is a Cargo workspace of its own, so the test above never
+# compiles it: build it against this tree's crates and run its self-tests,
+# so an API change that breaks it fails here, not at the next benchmark run.
+CARGO_TARGET_DIR=target/perfbench \
+  cargo test --release -q --manifest-path perfbench/Cargo.toml
 cargo clippy --workspace --all-targets -- -D warnings
 # Perf lints are advisory (warn, not deny): surface regressions in the
 # simulator kernel's hot loops without blocking unrelated changes.

@@ -2,10 +2,15 @@
 //! result cache must serve repeats byte-identically, trace-carrying
 //! results must never be cached, and a worker killed mid-job must resume
 //! from its last checkpoint and still produce the exact result an
-//! uninterrupted run would have.
+//! uninterrupted run would have. Malformed, oversized and idle
+//! connections must neither take the server down nor block its shutdown.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use pinned_loads::base::{DefenseScheme, MachineConfig, PinMode, PinnedLoadsConfig, TraceConfig};
 use pinned_loads::bench::serve::{self, ServeOptions};
@@ -399,4 +404,56 @@ fn deeply_nested_request_is_rejected_and_server_survives() {
     let pong = serve::request(&server.addr, "{\"cmd\":\"ping\"}").unwrap();
     assert_eq!(pong, "{\"ok\":true}");
     server.shutdown();
+}
+
+/// Writes `bytes` to the server as they are and returns its reply line.
+/// Fails, rather than hangs, if no reply comes.
+fn raw_request(addr: &str, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    stream.write_all(bytes).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    reply
+}
+
+#[test]
+fn non_utf8_request_is_rejected_and_server_survives() {
+    let server = start_server("non-utf8", serve::DEFAULT_CHECKPOINT_PERIOD);
+    let resp = raw_request(&server.addr, b"\xff\xfe{\"cmd\":\"ping\"}\n");
+    assert!(resp.contains("\"ok\":false"), "{resp}");
+    assert!(resp.contains("bad request"), "{resp}");
+    let pong = serve::request(&server.addr, "{\"cmd\":\"ping\"}").unwrap();
+    assert_eq!(pong, "{\"ok\":true}");
+    server.shutdown();
+}
+
+#[test]
+fn oversized_request_is_rejected_and_server_survives() {
+    let server = start_server("oversized", serve::DEFAULT_CHECKPOINT_PERIOD);
+    let resp = raw_request(&server.addr, &vec![b' '; serve::MAX_REQUEST_BYTES + 1]);
+    assert!(resp.contains("\"ok\":false"), "{resp}");
+    assert!(resp.contains("bad request"), "{resp}");
+    let pong = serve::request(&server.addr, "{\"cmd\":\"ping\"}").unwrap();
+    assert_eq!(pong, "{\"ok\":true}");
+    server.shutdown();
+}
+
+#[test]
+fn idle_connection_does_not_block_shutdown() {
+    let server = start_server("idle", serve::DEFAULT_CHECKPOINT_PERIOD);
+    let idle = TcpStream::connect(&server.addr).unwrap();
+    let resp = serve::request(&server.addr, "{\"cmd\":\"shutdown\"}").unwrap();
+    assert!(resp.contains("\"ok\":true"), "{resp}");
+    let (tx, rx) = mpsc::channel();
+    let handle = server.handle;
+    std::thread::spawn(move || tx.send(handle.join().unwrap()).unwrap());
+    let result = rx.recv_timeout(Duration::from_secs(120));
+    drop(idle);
+    result
+        .expect("serve did not return while a connection sat idle")
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&server.scratch);
 }
