@@ -11,23 +11,20 @@
 //! inside the config), answers repeats from an on-disk [`ResultCache`]
 //! byte-for-byte, and farms cold misses out to a worker pool.
 //!
-//! Long workloads checkpoint every `checkpoint_period` cycles via
-//! [`pl_machine::Machine::snapshot`]; a worker that dies mid-run (which
-//! the `kill_after_checkpoints` fault-injection knob simulates) loses at
-//! most one period, because the job is re-enqueued and resumed from the
-//! last [`Checkpoint`] — by whichever worker picks it up — with results
-//! bit-identical to an uninterrupted run.
-//!
-//! Checkpoints also spill to disk beside the result cache (a
-//! [`CheckpointStore`]: one `plckpt-<digest>.bin` per in-flight job,
-//! written atomically with the same temp-file + rename discipline as
-//! [`ResultCache`], payload produced by
-//! [`pl_machine::Machine::encode_state`]). A *server* restart therefore
-//! loses at most one period too: a fresh server finding a spilled
-//! checkpoint for a requested job rebuilds the machine from the job
-//! description and overlays the saved state instead of starting over.
-//! Spill files are removed when their job completes; a corrupt or
-//! mismatched file is ignored (the job just restarts from cycle zero).
+//! Long workloads checkpoint every `checkpoint_period` cycles: a pause
+//! encodes the machine state once with
+//! [`pl_machine::Machine::encode_state`] and keeps the bytes in memory,
+//! and, for untraced jobs, also spills the same bytes to disk beside the
+//! result cache (a [`CheckpointStore`]: one `plckpt-<digest>.bin` per
+//! in-flight job, written atomically with the same temp-file + rename
+//! discipline as [`ResultCache`]). A worker that dies mid-run (which the
+//! `kill_after_checkpoints` fault-injection knob simulates) or a server
+//! restart therefore loses at most one period: whichever worker picks the
+//! job up next rebuilds the machine from the job description and decodes
+//! the latest bytes, from memory or else from disk, with results
+//! bit-identical to an uninterrupted run. Spill files are removed when
+//! their job completes; a corrupt or mismatched file is ignored (the job
+//! just restarts from cycle zero).
 //!
 //! The wire protocol is newline-delimited JSON over TCP, parsed with the
 //! in-tree [`pl_trace::json`] parser — no new dependencies. All `u64`
@@ -55,7 +52,7 @@ use pl_base::{
 };
 use pl_isa::asm::{disassemble, parse_asm};
 use pl_isa::Reg;
-use pl_machine::{Checkpoint, Machine, RunResult, StepOutcome};
+use pl_machine::{Machine, RunResult, StepOutcome};
 use pl_secure::VpMask;
 use pl_trace::json::{escape, parse, Value};
 use pl_workloads::Workload;
@@ -719,15 +716,16 @@ impl ResultCache {
 /// changes whenever the machine state stream's layout does, so a spill
 /// left by an older build reads as missing instead of mis-decoding.
 const CKPT_MAGIC: u32 = 0x504C_434B; // "PLCK"
-const CKPT_VERSION: u32 = 2;
+const CKPT_VERSION: u32 = 3;
 
-/// The durable sibling of the in-memory checkpoint store: one
+/// The durable copy of the in-memory checkpoint store: one
 /// `plckpt-<digest>.bin` file per in-flight job, living next to the
 /// [`ResultCache`] entries and written with the same temp-file + rename
 /// discipline, so a server killed mid-write never leaves a torn spill.
 ///
-/// The payload is [`pl_machine::Machine::encode_state`] bytes behind a
-/// small canonical header (magic, version, digest, cycle, resume count).
+/// The payload is the [`pl_machine::Machine::encode_state`] bytes the
+/// server also keeps in memory, behind a small canonical header (magic,
+/// version, digest, cycle, resume count).
 /// The digest in the header must match the file name's — a spill is only
 /// meaningful for the exact job that produced it, because the state
 /// stream carries no configuration or programs of its own.
@@ -885,11 +883,12 @@ struct Shared {
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
     shutdown: AtomicBool,
-    /// In-memory checkpoint store: digest -> (latest checkpoint, times
-    /// this job has been resumed). The fast path for a *worker* death —
-    /// the requeued job resumes without touching disk. A *server* death
-    /// falls back to the on-disk [`CheckpointStore`] spill.
-    checkpoints: Mutex<HashMap<u64, (Checkpoint, u64)>>,
+    /// In-memory checkpoint store: digest -> (latest
+    /// [`Machine::encode_state`] bytes, times this job has been resumed),
+    /// the same bytes the on-disk [`CheckpointStore`] holds. The fast
+    /// path for a *worker* death — the requeued job resumes without
+    /// touching disk. A *server* death falls back to the spill.
+    checkpoints: Mutex<HashMap<u64, (Vec<u8>, u64)>>,
     cache: ResultCache,
     /// Durable checkpoint spill, sharing the cache directory.
     ckpt: CheckpointStore,
@@ -926,65 +925,55 @@ fn worker_loop(shared: &Shared) {
 }
 
 fn run_job(shared: &Shared, job: Job) {
-    // Resume from the latest in-memory checkpoint if one exists (worker
-    // death); failing that, from an on-disk spill (server death);
-    // otherwise build a fresh machine from the job description.
-    let entry = shared
+    if job.workload.cores() > job.cfg.num_cores {
+        let _ = job.reply.send(Err(format!(
+            "workload `{}` needs {} cores but the config has {}",
+            job.workload.name,
+            job.workload.cores(),
+            job.cfg.num_cores
+        )));
+        return;
+    }
+    // The state stream carries no configuration or programs, so the
+    // machine it decodes onto is built exactly as a fresh run's would be
+    // — config, workload, mask.
+    let build = || -> Result<Machine, String> {
+        let mut m = Machine::new(&job.cfg).map_err(|e| format!("invalid config: {e}"))?;
+        job.workload.install(&mut m);
+        if let Some(mask) = job.mask {
+            m.set_vp_mask(mask);
+        }
+        Ok(m)
+    };
+    // The latest checkpoint is in memory after a worker death, and only
+    // on disk after a server restart; without either the run starts at
+    // cycle zero.
+    let saved = shared
         .checkpoints
         .lock()
         .expect("checkpoint store lock")
-        .remove(&job.digest);
-    let (mut machine, resumed) = match entry {
-        Some((cp, prior_resumes)) => (Machine::restore(&cp), prior_resumes + 1),
-        None => {
-            if job.workload.cores() > job.cfg.num_cores {
-                let _ = job.reply.send(Err(format!(
-                    "workload `{}` needs {} cores but the config has {}",
-                    job.workload.name,
-                    job.workload.cores(),
-                    job.cfg.num_cores
-                )));
-                return;
-            }
-            // The state stream carries no configuration or programs, so
-            // the overlay target must be built exactly as a fresh run
-            // would be — config, workload, mask — before decoding.
-            let build = || -> Result<Machine, String> {
-                let mut m = Machine::new(&job.cfg).map_err(|e| format!("invalid config: {e}"))?;
-                job.workload.install(&mut m);
-                if let Some(mask) = job.mask {
-                    m.set_vp_mask(mask);
-                }
-                Ok(m)
-            };
-            let mut m = match build() {
-                Ok(m) => m,
-                Err(e) => {
-                    let _ = job.reply.send(Err(e));
-                    return;
-                }
-            };
-            let mut resumed = 0;
-            if cacheable(&job.cfg) {
-                if let Some((_cycle, prior_resumes, state)) = shared.ckpt.load(job.digest) {
-                    if m.decode_state_into(&state).is_ok() {
-                        resumed = prior_resumes + 1;
-                    } else {
-                        // A failed decode leaves the machine partially
-                        // overwritten; discard it and restart clean.
-                        m = match build() {
-                            Ok(m) => m,
-                            Err(e) => {
-                                let _ = job.reply.send(Err(e));
-                                return;
-                            }
-                        };
-                    }
-                }
-            }
-            (m, resumed)
+        .remove(&job.digest)
+        .or_else(|| {
+            let (_cycle, resumed, state) = shared.ckpt.load(job.digest)?;
+            Some((state, resumed))
+        });
+    let mut machine = match build() {
+        Ok(m) => m,
+        Err(e) => {
+            let _ = job.reply.send(Err(e));
+            return;
         }
     };
+    let mut resumed = 0;
+    if let Some((state, prior_resumes)) = saved {
+        if machine.decode_state_into(&state).is_ok() {
+            resumed = prior_resumes + 1;
+        } else {
+            // A failed decode leaves the machine partially overwritten;
+            // discard it and restart clean (the build succeeded once).
+            machine = build().expect("the job built a machine before");
+        }
+    }
     let mut taken_this_attempt = 0u64;
     let result = loop {
         let pause = machine
@@ -992,19 +981,13 @@ fn run_job(shared: &Shared, job: Job) {
             .raw()
             .saturating_add(job.checkpoint_period.max(1));
         match machine.run_until(crate::RUN_BUDGET, pause) {
-            Ok(StepOutcome::Done(res)) => break res,
+            Ok(StepOutcome::Done(res)) => break Ok(res),
             Ok(StepOutcome::Paused) => {
-                let cp = machine.snapshot();
-                shared
-                    .checkpoints
-                    .lock()
-                    .expect("checkpoint store lock")
-                    .insert(job.digest, (cp, resumed));
+                let state = machine.encode_state();
                 if cacheable(&job.cfg) {
-                    // Spill the same checkpoint to disk so a *server*
-                    // restart resumes too. A failed write is non-fatal:
-                    // the in-memory copy still covers worker deaths.
-                    let state = machine.encode_state();
+                    // Spill the same bytes to disk so a *server* restart
+                    // resumes too. A failed write is non-fatal: the
+                    // in-memory copy still covers worker deaths.
                     if shared
                         .ckpt
                         .store(job.digest, machine.now().raw(), resumed, &state)
@@ -1013,6 +996,11 @@ fn run_job(shared: &Shared, job: Job) {
                         shared.spills.fetch_add(1, Ordering::Relaxed);
                     }
                 }
+                shared
+                    .checkpoints
+                    .lock()
+                    .expect("checkpoint store lock")
+                    .insert(job.digest, (state, resumed));
                 taken_this_attempt += 1;
                 if job.kill_after.is_some_and(|k| taken_this_attempt >= k) {
                     // Simulate this worker dying mid-run: drop the live
@@ -1029,37 +1017,28 @@ fn run_job(shared: &Shared, job: Job) {
                     return;
                 }
             }
-            Err(e) => {
-                shared
-                    .checkpoints
-                    .lock()
-                    .expect("checkpoint store lock")
-                    .remove(&job.digest);
-                shared.ckpt.remove(job.digest);
-                let _ = job
-                    .reply
-                    .send(Err(format!("workload `{}`: {e}", job.workload.name)));
-                return;
-            }
+            Err(e) => break Err(format!("workload `{}`: {e}", job.workload.name)),
         }
     };
+    // Finished or failed, the job's checkpoints are dead weight.
     shared
         .checkpoints
         .lock()
         .expect("checkpoint store lock")
         .remove(&job.digest);
     shared.ckpt.remove(job.digest);
-    let json = result_to_json(&result);
-    if cacheable(&job.cfg) {
-        if let Err(e) = shared.cache.store(job.digest, &json) {
-            let _ = job.reply.send(Err(format!("cache store failed: {e}")));
-            return;
+    let reply = result.and_then(|res| {
+        let json = result_to_json(&res);
+        if cacheable(&job.cfg) {
+            let stored = shared.cache.store(job.digest, &json);
+            stored.map_err(|e| format!("cache store failed: {e}"))?;
         }
-    }
-    let _ = job.reply.send(Ok(JobDone {
-        result_json: json,
-        resumed,
-    }));
+        Ok(JobDone {
+            result_json: json,
+            resumed,
+        })
+    });
+    let _ = job.reply.send(reply);
 }
 
 fn respond(stream: &mut TcpStream, line: &str) {
@@ -1557,18 +1536,20 @@ mod tests {
         assert_eq!(store.len(), 1);
 
         // A spill with the right magic and digest but an older stream
-        // version (1) is stale: it reads as missing rather than being
-        // decoded.
-        let mut e = pl_base::Enc::new();
-        e.u32(CKPT_MAGIC);
-        e.u32(1);
-        e.u64(11);
-        e.u64(123_456);
-        e.u64(0);
-        let mut stale = e.into_bytes();
-        stale.extend_from_slice(&state);
-        std::fs::write(store.path_for(11), stale).unwrap();
-        assert!(store.load(11).is_none());
+        // version (1 or 2, from builds before the layout last changed)
+        // is stale: it reads as missing rather than being decoded.
+        for old_version in [1, 2] {
+            let mut e = pl_base::Enc::new();
+            e.u32(CKPT_MAGIC);
+            e.u32(old_version);
+            e.u64(11);
+            e.u64(123_456);
+            e.u64(0);
+            let mut stale = e.into_bytes();
+            stale.extend_from_slice(&state);
+            std::fs::write(store.path_for(11), stale).unwrap();
+            assert!(store.load(11).is_none(), "version {old_version}");
+        }
 
         // Truncated and garbage files read as missing, not as errors.
         std::fs::write(store.path_for(9), b"PL").unwrap();

@@ -357,6 +357,16 @@ impl Core {
         self.vp_mask = mask;
     }
 
+    /// The Visibility-Point mask in force.
+    pub fn vp_mask(&self) -> VpMask {
+        self.vp_mask
+    }
+
+    /// The program this core runs.
+    pub fn program(&self) -> &Arc<Program> {
+        &self.program
+    }
+
     /// Instructions retired so far.
     pub fn retired(&self) -> u64 {
         self.retired
@@ -3490,10 +3500,10 @@ impl Core {
     // Checkpoint codec
     // ------------------------------------------------------------------
 
-    /// Encodes the complete simulation state of this core for a
-    /// checkpoint spill. Trace and verify sinks are not captured —
-    /// spills are gated to runs with both disabled — and per-tick
-    /// scratch buffers are empty between ticks by construction.
+    /// Encodes the complete simulation state of this core for a machine
+    /// checkpoint. Not carried: configuration, program, VP mask, the
+    /// tracers' rings (a checkpoint exclusion), the verify sink (drained
+    /// by the machine every tick) and the per-tick scratch buffers.
     pub fn encode_into(&self, e: &mut Enc) {
         self.bp.encode_into(e);
         e.usize(self.fetch_pc.0);
@@ -3955,12 +3965,10 @@ fn encode_lq_entry(e: &mut Enc, l: &LqEntry) {
     e.bool(l.invisible);
     e.bool(l.exposing);
     e.u8(l.vp_bits);
+    e.str(l.vp_blocker.unwrap_or(""));
+    e.bool(l.vp_clear_traced);
 }
 
-/// Decodes an LQ entry. The trace-attribution fields (`vp_blocker`,
-/// `vp_clear_traced`) are reset rather than encoded: checkpoint spills
-/// are gated to runs with tracing and verification disabled, where both
-/// stay at their defaults.
 fn decode_lq_entry(d: &mut Dec<'_>) -> Result<LqEntry, String> {
     let seq = SeqNum(d.u64()?);
     let lq_id = d.u64()?;
@@ -3988,8 +3996,16 @@ fn decode_lq_entry(d: &mut Dec<'_>) -> Result<LqEntry, String> {
         invisible: d.bool()?,
         exposing: d.bool()?,
         vp_bits: d.u8()?,
-        vp_blocker: None,
-        vp_clear_traced: false,
+        vp_blocker: match d.str()?.as_str() {
+            "" => None,
+            b => Some(
+                pl_secure::VP_CONDITIONS
+                    .into_iter()
+                    .find(|&c| c == b)
+                    .ok_or_else(|| format!("core: bad VP blocker {b:?}"))?,
+            ),
+        },
+        vp_clear_traced: d.bool()?,
     })
 }
 

@@ -243,7 +243,7 @@ pub enum StepOutcome {
 /// Run-loop bookkeeping that must survive a pause for a resumed run to be
 /// bit-identical to an uninterrupted one: watchdog progress anchors and
 /// the machine-level CPT occupancy samples accumulated so far.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct RunState {
     last_retired: u64,
     last_progress: Cycle,
@@ -264,47 +264,37 @@ impl RunState {
     }
 }
 
-/// A resumable deep copy of a paused [`Machine`], produced by
-/// [`Machine::snapshot`] and consumed by [`Machine::restore`].
+/// A resumable checkpoint of a paused [`Machine`], produced by
+/// [`Machine::snapshot`] and consumed by [`Machine::restore`]: the
+/// [`Machine::encode_state`] stream (the bytes `plsim serve` keeps and
+/// spills) plus what the stream does not carry, the configuration and
+/// each core's program and VP mask.
 ///
-/// The checkpoint captures everything a resumed run's observable behavior
-/// depends on: configuration, every core (pipeline, LSQ, ROB, L1, MSHRs,
-/// write buffer, predictor, taint tracker, pin governor, tracer,
-/// statistics), every LLC/directory slice (cache, transaction tables,
-/// timers), the NoC (in-flight messages, fault state), the functional
-/// memory image, the current cycle, the watchdog threshold and progress
-/// anchors, and the machine-level CPT sample accumulator.
-///
-/// Two things are deliberately *not* captured, and both are documented
-/// exclusions rather than oversights: the invariant-check observer (a
-/// trait object owned by the caller — hand it across a restore with
-/// [`Machine::take_check_observer`] / [`Machine::set_check_observer`]),
-/// and the event-driven scheduler calendar (rebuilt conservatively on the
-/// next run, which the fast-forward bit-identity argument already covers:
-/// re-deriving park state only re-executes quiet ticks whose statistics
-/// deltas are identical to the replayed ones).
+/// Three things are deliberately *not* captured, and all are documented
+/// exclusions rather than oversights:
+/// - the invariant-check observer, a trait object owned by the caller;
+///   hand it across a restore with [`Machine::take_check_observer`] /
+///   [`Machine::set_check_observer`];
+/// - the event-driven scheduler calendar, rebuilt conservatively on the
+///   next run, which the fast-forward bit-identity argument already
+///   covers: re-deriving park state only re-executes quiet ticks whose
+///   statistics deltas are identical to the replayed ones;
+/// - the trace rings: a restored traced machine starts with empty rings
+///   and records the events of every cycle from the checkpoint cycle on,
+///   stamped as the uninterrupted run stamps them.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     cfg: MachineConfig,
-    cores: Vec<Core>,
-    slices: Vec<LlcSlice>,
-    noc: Noc,
-    image: Memory,
-    now: Cycle,
-    watchdog_cycles: u64,
-    next_snapshot: u64,
-    run_state: Option<RunState>,
+    cores: Vec<(Arc<Program>, VpMask)>,
+    state: Vec<u8>,
 }
 
 impl Checkpoint {
     /// The cycle at which this checkpoint was taken.
     pub fn cycle(&self) -> u64 {
-        self.now.raw()
-    }
-
-    /// The configuration of the machine that produced this checkpoint.
-    pub fn config(&self) -> &MachineConfig {
-        &self.cfg
+        pl_base::Dec::new(&self.state)
+            .u64()
+            .expect("the state stream opens with the clock")
     }
 }
 
@@ -508,7 +498,7 @@ impl Machine {
         })
     }
 
-    /// Deep-copies the machine into a resumable [`Checkpoint`].
+    /// Captures the machine in a resumable [`Checkpoint`].
     ///
     /// Safe to call whenever the machine is not inside a `run` call —
     /// after construction, between [`Machine::tick`]s, or after
@@ -517,24 +507,22 @@ impl Machine {
     /// captured state is exactly what the naive per-cycle loop would
     /// hold at this cycle.
     pub fn snapshot(&mut self) -> Checkpoint {
-        self.flush_parked();
         Checkpoint {
             cfg: self.cfg.clone(),
-            cores: self.cores.clone(),
-            slices: self.slices.clone(),
-            noc: self.noc.clone(),
-            image: self.image.clone(),
-            now: self.now,
-            watchdog_cycles: self.watchdog_cycles,
-            next_snapshot: self.next_snapshot,
-            run_state: self.run_state.clone(),
+            cores: self
+                .cores
+                .iter()
+                .map(|c| (Arc::clone(c.program()), c.vp_mask()))
+                .collect(),
+            state: self.encode_state(),
         }
     }
 
-    /// Builds a fresh machine from a checkpoint. Continuing the run with
-    /// [`Machine::run`] / [`Machine::run_until`] produces results
-    /// bit-identical to the machine the checkpoint was taken from — and
-    /// therefore to an uninterrupted run, which
+    /// Builds a fresh machine from a checkpoint: [`Machine::new`], the
+    /// programs and VP masks, and the state stream decoded on top.
+    /// Continuing the run with [`Machine::run`] / [`Machine::run_until`]
+    /// produces results bit-identical to the machine the checkpoint was
+    /// taken from — and therefore to an uninterrupted run, which
     /// `tests/ff_equivalence.rs` locks in across schemes, core counts,
     /// and fast-forward settings.
     ///
@@ -542,32 +530,14 @@ impl Machine {
     /// one was attached, re-attach it with
     /// [`Machine::set_check_observer`].
     pub fn restore(cp: &Checkpoint) -> Machine {
-        let cfg = cp.cfg.clone();
-        Machine {
-            cores: cp.cores.clone(),
-            slices: cp.slices.clone(),
-            noc: cp.noc.clone(),
-            image: cp.image.clone(),
-            now: cp.now,
-            watchdog_cycles: cp.watchdog_cycles,
-            deliver_buf: Vec::new(),
-            slice_bound: Vec::new(),
-            outbox_buf: Vec::new(),
-            check_observer: ObserverSlot(None),
-            check_buf: Vec::new(),
-            next_snapshot: cp.next_snapshot,
-            sched: (0..cfg.num_cores).map(|_| CoreSched::default()).collect(),
-            slice_next: vec![None; cfg.mem.llc_slices],
-            slice_touched: vec![false; cfg.mem.llc_slices],
-            spin_track: (0..cfg.num_cores).map(|_| SpinTrack::default()).collect(),
-            spin_ticked: vec![false; cfg.num_cores],
-            spin_msg: vec![false; cfg.num_cores],
-            spin_parks: 0,
-            spin_skipped_cycles: 0,
-            spin_opens: 0,
-            run_state: cp.run_state.clone(),
-            cfg,
+        let mut m = Machine::new(&cp.cfg).expect("a checkpoint's configuration built a machine");
+        for (i, (program, mask)) in cp.cores.iter().enumerate() {
+            m.cores[i] = Core::new(CoreId(i), &cp.cfg, Arc::clone(program));
+            m.cores[i].set_vp_mask(*mask);
         }
+        m.decode_state_into(&cp.state)
+            .expect("a checkpoint decodes onto a machine built like its source");
+        m
     }
 
     /// Attaches the invariant-check observer that receives the event
@@ -1514,15 +1484,16 @@ impl Machine {
 
     /// Serializes the complete machine state — every core, slice, the
     /// NoC, the memory image, the clock, and the run-loop bookkeeping —
-    /// into a canonical byte stream for an on-disk checkpoint spill.
-    /// Parked and spinning cores are flushed first, so the encoding is
-    /// exactly the state the naive loop would hold at this cycle.
+    /// into the canonical byte stream behind every checkpoint, minus the
+    /// exclusions listed at [`Checkpoint`]. Parked and spinning cores are
+    /// flushed first, so the encoding is exactly the state the naive loop
+    /// would hold at this cycle.
     ///
     /// The stream carries state only, not configuration: decode it with
     /// [`Machine::decode_state_into`] on a machine built from the same
     /// configuration with the same programs loaded (the caller's
-    /// contract — `plsim serve` enforces it by keying spilled files on
-    /// the job digest).
+    /// contract — `plsim serve` enforces it by keying checkpoints on the
+    /// job digest).
     pub fn encode_state(&mut self) -> Vec<u8> {
         self.flush_parked();
         let mut e = pl_base::Enc::new();
@@ -1552,8 +1523,8 @@ impl Machine {
     /// Overlays state encoded by [`Machine::encode_state`] onto this
     /// machine, which must have been built from the same configuration
     /// with the same programs loaded. The event calendar and spin
-    /// detector re-arm on the next run, exactly as after
-    /// [`Machine::restore`].
+    /// detector re-arm on the next run; the trace rings are left as they
+    /// are, but later events are stamped as in an uninterrupted run.
     ///
     /// # Errors
     ///
@@ -1588,6 +1559,13 @@ impl Machine {
         }
         for track in &mut self.spin_track {
             *track = SpinTrack::default();
+        }
+        // A core handles the messages of cycle `now` before its tick, so
+        // it stamps them with the clock of the previous tick.
+        if let Some(last) = self.now.raw().checked_sub(1) {
+            for core in &mut self.cores {
+                core.sync_trace_now(Cycle(last));
+            }
         }
         Ok(())
     }
@@ -1634,7 +1612,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pl_base::{DefenseScheme, PinMode, PinnedLoadsConfig, ThreatModel};
+    use pl_base::{DefenseScheme, Mutation, PinMode, PinnedLoadsConfig, ThreatModel};
     use pl_isa::{BranchCond, ProgramBuilder};
 
     fn r(i: u8) -> Reg {
@@ -2221,6 +2199,212 @@ mod tests {
             fingerprint(&fresh, &res),
             fingerprint(&m_ref, &ref_res),
             "decoded machine diverged from uninterrupted run"
+        );
+    }
+
+    #[test]
+    fn codec_resumes_fault_injected_runs() {
+        // The NoC fault injector's RNG is state: a resumed run must draw
+        // the same delivery jitter the uninterrupted run draws.
+        let mut cfg = defended_cfg(DefenseScheme::Fence, PinMode::Early);
+        cfg.verify.enabled = true;
+        cfg.verify.fault_delay = 7;
+        let (m_ref, ref_res) = single(&cfg, chained_loads_program());
+        let build = || {
+            let mut m = Machine::new(&cfg).unwrap();
+            m.load_program(CoreId(0), chained_loads_program().build().unwrap());
+            m
+        };
+        let mut m = build();
+        let outcome = m.run_until(5_000_000, ref_res.cycles / 2).unwrap();
+        assert!(matches!(outcome, StepOutcome::Paused));
+        let mut resumed = build();
+        resumed.decode_state_into(&m.encode_state()).unwrap();
+        let res = resumed.run(5_000_000).unwrap();
+        assert_eq!(
+            fingerprint(&resumed, &res),
+            fingerprint(&m_ref, &ref_res),
+            "fault-injected run diverged after a decode"
+        );
+    }
+
+    /// Core `c` of a ring of `cores` single-slot mailboxes: each round it
+    /// fills the next core's slot and raises its flag, then spins on its
+    /// own flag. The spinning loads are pinned, so flag writes are
+    /// deferred and retried as starred writes that end in a Clear
+    /// broadcast.
+    fn mailbox_ring_program(c: usize, cores: usize) -> Program {
+        let slot = |i: usize| 0x30_0000 + 64 * i as i64;
+        let mut b = ProgramBuilder::new();
+        let (top, spin, backpressure) = (b.new_label(), b.new_label(), b.new_label());
+        b.addi(r(1), Reg::ZERO, slot(c));
+        b.addi(r(3), Reg::ZERO, slot((c + 1) % cores));
+        b.addi(r(2), Reg::ZERO, 30);
+        b.addi(r(9), Reg::ZERO, 0);
+        b.bind(top).unwrap();
+        b.addi(r(9), r(9), 1);
+        // Wait until the consumer took the previous round.
+        b.addi(r(12), r(9), -1);
+        b.bind(backpressure).unwrap();
+        b.load(r(13), r(3), 16);
+        b.branch(BranchCond::LtU, r(13), r(12), backpressure);
+        b.store(r(9), r(3), 0);
+        b.store(r(9), r(3), 8);
+        b.bind(spin).unwrap();
+        b.load(r(10), r(1), 8);
+        b.branch(BranchCond::LtU, r(10), r(9), spin);
+        b.load(r(11), r(1), 0);
+        b.store(r(9), r(1), 16);
+        b.addi(r(2), r(2), -1);
+        b.branch(BranchCond::Ne, r(2), Reg::ZERO, top);
+        b.build().unwrap()
+    }
+
+    /// A four-core mailbox ring under Fence+EP: pinned spinning loads,
+    /// starred writes, invalidations and Clear broadcasts all run long.
+    fn ring_machine(extra: impl Fn(&mut MachineConfig)) -> Machine {
+        let mut cfg = MachineConfig::default_multi_core(4);
+        cfg.defense = DefenseScheme::Fence;
+        cfg.pinned_loads = PinnedLoadsConfig::with_mode(PinMode::Early);
+        extra(&mut cfg);
+        let mut m = Machine::new(&cfg).unwrap();
+        for c in 0..4 {
+            m.load_program(CoreId(c), mailbox_ring_program(c, 4));
+        }
+        m
+    }
+
+    /// Counts starred commits, and those whose Clear broadcast never
+    /// went out: the `DropClear` mutation's footprint. A slice's events
+    /// are contiguous within a tick's batch, so a broadcast follows its
+    /// commit directly.
+    #[derive(Default)]
+    struct ClearAudit {
+        commits: u64,
+        dropped: u64,
+    }
+
+    impl CheckObserver for ClearAudit {
+        fn on_events(&mut self, _: Cycle, events: &[CheckEvent]) {
+            for (i, ev) in events.iter().enumerate() {
+                if let CheckEvent::StarredCommit { sharers, .. } = ev {
+                    self.commits += 1;
+                    let next = events.get(i + 1);
+                    if *sharers > 0 && !matches!(next, Some(CheckEvent::ClearSent { .. })) {
+                        self.dropped += 1;
+                    }
+                }
+            }
+        }
+        fn on_snapshot(&mut self, _: Cycle, _: &MachineSnapshot) {}
+        fn on_run_end(&mut self, _: Cycle) {}
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    fn take_audit(m: &mut Machine) -> (u64, u64) {
+        let mut obs = m.take_check_observer().expect("audit attached");
+        let audit = obs.as_any_mut().downcast_mut::<ClearAudit>().unwrap();
+        (audit.commits, audit.dropped)
+    }
+
+    #[test]
+    fn codec_keeps_a_fired_mutation_fired() {
+        // `DropClear` swallows one Clear broadcast per slice and run. A
+        // checkpoint taken after it fired must not re-arm it in the
+        // resumed run.
+        let build = || {
+            let mut m = ring_machine(|cfg| {
+                cfg.verify.enabled = true;
+                cfg.verify.mutation = Mutation::DropClear;
+            });
+            m.set_check_observer(Box::<ClearAudit>::default());
+            m
+        };
+        let mut m_ref = build();
+        let ref_res = m_ref.run(5_000_000).unwrap();
+
+        let mut paused = build();
+        let outcome = paused.run_until(5_000_000, ref_res.cycles / 2).unwrap();
+        assert!(matches!(outcome, StepOutcome::Paused));
+        let bytes = paused.encode_state();
+        let (_, dropped_before) = take_audit(&mut paused);
+        assert!(dropped_before > 0, "the mutation fired before the pause");
+
+        let mut resumed = build();
+        resumed.decode_state_into(&bytes).unwrap();
+        let res = resumed.run(5_000_000).unwrap();
+        let (commits_after, dropped_after) = take_audit(&mut resumed);
+        assert!(commits_after > 0, "no starred commit left to drop a Clear");
+        assert_eq!(dropped_after, 0, "the resumed run re-armed the mutation");
+        assert_eq!(
+            fingerprint(&resumed, &res),
+            fingerprint(&m_ref, &ref_res),
+            "mutated run diverged after a decode"
+        );
+    }
+
+    #[test]
+    fn restored_trace_starts_at_the_checkpoint_cycle() {
+        // Trace rings are a documented checkpoint exclusion: a restored
+        // machine records exactly the events of the cycles from the
+        // checkpoint on, with the uninterrupted run's stamps. A core
+        // handles the messages of the checkpoint cycle before its tick,
+        // so those events carry the previous cycle's stamp.
+        let build = || {
+            ring_machine(|cfg| {
+                cfg.trace = pl_base::TraceConfig {
+                    enabled: true,
+                    buffer_capacity: 1 << 20,
+                }
+            })
+        };
+        let ref_res = build().run(5_000_000).unwrap();
+        let full = ref_res.trace.expect("traced run");
+        assert_eq!(full.dropped, 0, "the rings must hold the whole run");
+
+        let mut lagged = 0;
+        for pause in (1..ref_res.cycles).step_by(97) {
+            let mut m = build();
+            let outcome = m.run_until(5_000_000, pause).unwrap();
+            assert!(matches!(outcome, StepOutcome::Paused));
+            let cp = m.snapshot();
+            let mut before: std::collections::HashMap<_, usize> = Default::default();
+            for rec in m.trace_log().records {
+                *before.entry(rec.source).or_default() += 1;
+            }
+            drop(m);
+            let res = Machine::restore(&cp).run(5_000_000).unwrap();
+
+            // Each source's events keep their emission order in the
+            // merged log, so dropping its first `before` events leaves
+            // exactly the ones recorded from the checkpoint cycle on.
+            let expected: Vec<_> = full
+                .records
+                .iter()
+                .filter(|rec| match before.get_mut(&rec.source) {
+                    Some(n) if *n > 0 => {
+                        *n -= 1;
+                        false
+                    }
+                    _ => true,
+                })
+                .copied()
+                .collect();
+            assert!(expected.iter().all(|rec| rec.cycle + 1 >= cp.cycle()));
+            if expected.iter().any(|rec| rec.cycle + 1 == cp.cycle()) {
+                lagged += 1;
+            }
+            assert_eq!(
+                res.trace.expect("traced run").records,
+                expected,
+                "pause {pause}: restored trace differs from the uninterrupted run's tail"
+            );
+        }
+        assert!(
+            lagged > 0,
+            "no checkpoint cycle delivered a message to a core"
         );
     }
 

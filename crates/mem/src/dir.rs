@@ -246,7 +246,7 @@ impl SliceStatIds {
 /// Drive it by feeding network messages to [`LlcSlice::handle`] and
 /// calling [`LlcSlice::tick`] every cycle; collect outbound messages with
 /// [`LlcSlice::drain_outbox`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LlcSlice {
     id: usize,
     cache: Cache<LlcLine>,
@@ -960,9 +960,9 @@ fn decode_dir_state(d: &mut pl_base::Dec<'_>) -> Result<DirState, String> {
 
 impl LlcSlice {
     /// Encodes the slice's dynamic state (data array, transaction tables,
-    /// timers, outbox, stats) for a checkpoint spill. Geometry, tracers,
-    /// and verify-mode machinery are config-derived or gated off when
-    /// spilling and are skipped.
+    /// timers, outbox, stats, mutation not yet fired) for a machine
+    /// checkpoint. Geometry and tracers are skipped; the check sink is
+    /// drained by the machine every tick.
     pub fn encode_into(&self, e: &mut pl_base::Enc) {
         self.cache.encode_into(e, &mut |e, meta: &LlcLine| {
             encode_dir_state(e, meta.state);
@@ -1043,6 +1043,7 @@ impl LlcSlice {
             msg.encode_into(e);
         }
         self.stats.encode_into(e);
+        e.bool(self.mutation_armed);
     }
 
     /// Overlays state encoded by [`LlcSlice::encode_into`] onto a slice
@@ -1131,6 +1132,7 @@ impl LlcSlice {
         }
         self.outbox = outbox;
         self.stats.decode_overlay(d)?;
+        self.mutation_armed = d.bool()?;
         Ok(())
     }
 }

@@ -28,7 +28,7 @@ use pl_base::Addr;
 /// assert_eq!(m.read(Addr::new(0x100)), 42);
 /// assert_eq!(m.read(Addr::new(0x107)), 42); // same word
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Memory {
     words: HashMap<u64, u64>,
 }

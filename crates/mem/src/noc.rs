@@ -61,7 +61,7 @@ struct PairQueue {
 /// let arrived = noc.deliver(Cycle(1));
 /// assert_eq!(arrived.len(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Noc {
     cols: usize,
     rows: usize,
@@ -96,7 +96,7 @@ pub struct Noc {
 /// delivery to the latest delivery already scheduled for that pair; the
 /// clamp state lives in the dense pair table, so fault injection adds no
 /// per-pair bookkeeping that could grow over a run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FaultInjector {
     rng: SimRng,
     max_extra_delay: u64,
@@ -332,17 +332,12 @@ impl Noc {
         self.hops_traversed
     }
 
-    /// Encodes the in-flight messages and traffic counters for a
-    /// checkpoint spill. Geometry (mesh shape, hop latency) is
-    /// config-derived and skipped; active pairs are written sparsely as
-    /// `(src, dst)` dense indices so the decode side's table size need
-    /// not match. The fault injector is never spilled — checkpointing is
-    /// gated off when fault injection is enabled.
+    /// Encodes the in-flight messages, traffic counters and fault
+    /// injector state for a machine checkpoint. Geometry (mesh shape, hop
+    /// latency) and whether faults are injected are config-derived and
+    /// skipped; active pairs are written sparsely as `(src, dst)` dense
+    /// indices so the decode side's table size need not match.
     pub fn encode_into(&self, e: &mut pl_base::Enc) {
-        debug_assert!(
-            self.faults.is_none(),
-            "checkpoint spill with fault injection enabled"
-        );
         let active: Vec<usize> = (0..self.pairs.len())
             .filter(|&i| {
                 !self.pairs[i].q.is_empty() || self.pairs[i].last_deliver_at != Cycle::ZERO
@@ -364,6 +359,9 @@ impl Noc {
         e.u64(self.next_seq);
         e.u64(self.messages_sent);
         e.u64(self.hops_traversed);
+        if let Some(f) = &self.faults {
+            f.rng.encode_into(e);
+        }
     }
 
     /// Overlays state encoded by [`Noc::encode_into`]. The ready-heap is
@@ -414,6 +412,9 @@ impl Noc {
         self.next_seq = d.u64()?;
         self.messages_sent = d.u64()?;
         self.hops_traversed = d.u64()?;
+        if let Some(f) = &mut self.faults {
+            f.rng.decode_overlay(d)?;
+        }
         Ok(())
     }
 }
@@ -641,6 +642,31 @@ mod tests {
         assert_eq!(fresh.hops_traversed(), noc.hops_traversed());
         assert_eq!(fresh.next_delivery(), noc.next_delivery());
         // Draining both from the same point yields identical deliveries.
+        assert_eq!(fresh.deliver(Cycle(1000)), noc.deliver(Cycle(1000)));
+    }
+
+    #[test]
+    fn codec_resumes_the_fault_injector_stream() {
+        let mut noc = Noc::with_nodes(4, 2, 1, 4, 4);
+        noc.enable_faults(0xFA017, 9);
+        for c in 0..4 {
+            noc.send(Cycle(1), NodeId::Core(CoreId(c)), NodeId::Slice(3), gets(c));
+        }
+        let mut e = pl_base::Enc::new();
+        noc.encode_into(&mut e);
+        let bytes = e.into_bytes();
+
+        let mut fresh = Noc::with_nodes(4, 2, 1, 4, 4);
+        fresh.enable_faults(0xFA017, 9);
+        let mut d = pl_base::Dec::new(&bytes);
+        fresh.decode_overlay(&mut d).unwrap();
+        d.finish().unwrap();
+        // Later sends draw the same jitter as on the original mesh.
+        for noc in [&mut noc, &mut fresh] {
+            for c in 0..4 {
+                noc.send(Cycle(2), NodeId::Core(CoreId(c)), NodeId::Slice(1), gets(c));
+            }
+        }
         assert_eq!(fresh.deliver(Cycle(1000)), noc.deliver(Cycle(1000)));
     }
 

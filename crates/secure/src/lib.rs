@@ -32,4 +32,4 @@ pub use cst::{Cst, CstOutcome};
 pub use pin::{PinGovernor, PinState};
 pub use scheme::IssuePolicy;
 pub use taint::TaintTracker;
-pub use vp::{VpMask, VpStatus};
+pub use vp::{VpMask, VpStatus, VP_CONDITIONS};

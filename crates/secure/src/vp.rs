@@ -12,6 +12,10 @@
 use pl_base::ThreatModel;
 use std::fmt;
 
+/// The names [`VpMask::blocking_condition`] reports, in the paper's
+/// attribution order.
+pub const VP_CONDITIONS: [&str; 4] = ["ctrl", "alias", "exception", "mcv"];
+
 /// The set of squash sources a threat model requires to be impossible
 /// before a load reaches its Visibility Point.
 ///
@@ -106,13 +110,13 @@ impl VpMask {
     /// in the paper's attribution order, or `None` if the VP is reached.
     pub fn blocking_condition(self, status: VpStatus) -> Option<&'static str> {
         if self.ctrl && !status.ctrl_clear {
-            Some("ctrl")
+            Some(VP_CONDITIONS[0])
         } else if self.alias && !status.alias_clear {
-            Some("alias")
+            Some(VP_CONDITIONS[1])
         } else if self.exception && !status.exception_clear {
-            Some("exception")
+            Some(VP_CONDITIONS[2])
         } else if self.mcv && !status.mcv_clear {
-            Some("mcv")
+            Some(VP_CONDITIONS[3])
         } else {
             None
         }

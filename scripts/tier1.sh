@@ -53,14 +53,16 @@ unset SERVE_PID
 # assertions live (the `checked` profile), so internal debug_assert!s
 # in the pipeline/protocol run against the full scheme matrix. The
 # ff_equivalence spin_parking filter re-proves the spin-parking twins
-# bit-identical with every debug_assert! in the park/replay path armed.
+# bit-identical with every debug_assert! in the park/replay path armed;
+# the checkpoint filter decodes every core of the checkpoint matrix with
+# the `aggregates_reference`/`issue_flags_consistent` oracles armed.
 cargo test -q --profile checked --test protocol_invariants --test verify_checker
 # The core and machine unit tests with debug assertions armed, so the
 # surviving incremental-structure oracles (`issue_flags_consistent`,
 # `aggregates_reference`) check every tick of the codec, spin and
 # pipeline tests.
 cargo test -q --profile checked -p pl-cpu -p pl-machine
-cargo test -q --profile checked --test ff_equivalence spin_parking
+cargo test -q --profile checked --test ff_equivalence -- spin_parking checkpoint
 # The attack suite under debug assertions: non-vacuity, mitigation
 # direction, and sweep determinism with the transient-shadow and
 # observer paths' debug_assert!s armed.

@@ -289,6 +289,51 @@ fn killed_worker_resumes_from_checkpoint_with_identical_result() {
     server.shutdown();
 }
 
+/// A killed *traced* job resumes from its in-memory checkpoint too. Its
+/// checkpoints never spill to disk, and the reply (which carries no
+/// trace) is byte-identical to an uninterrupted traced run's.
+#[test]
+fn killed_traced_worker_resumes_with_identical_result() {
+    let mut cfg = test_config();
+    cfg.trace = TraceConfig::enabled();
+    let w = test_workload();
+
+    let mut m = Machine::new(&cfg).unwrap();
+    w.install(&mut m);
+    let direct = m.run(2_000_000_000).unwrap();
+    let direct_json = serve::result_to_json(&direct);
+    let period = (direct.cycles / 5).max(1);
+
+    let server = start_server("kill-traced", serve::DEFAULT_CHECKPOINT_PERIOD);
+    let whole = serve::request(
+        &server.addr,
+        &serve::run_request_json(&cfg, None, &w, None, Some(period)),
+    )
+    .unwrap();
+    assert!(whole.contains("\"resumed\":\"0\""), "{whole}");
+    let killed = serve::request(
+        &server.addr,
+        &serve::run_request_json(&cfg, None, &w, Some(2), Some(period)),
+    )
+    .unwrap();
+    assert!(!serve::response_was_cached(&killed), "{killed}");
+    assert!(
+        killed.contains("\"resumed\":\"1\""),
+        "traced job did not resume from a checkpoint: {killed}"
+    );
+    assert_eq!(
+        serve::extract_result(&killed).unwrap(),
+        serve::extract_result(&whole).unwrap(),
+        "kill/resume of a traced job diverged from its uninterrupted run"
+    );
+    assert_eq!(serve::extract_result(&whole).unwrap(), direct_json);
+
+    let stats = serve::request(&server.addr, "{\"cmd\":\"stats\"}").unwrap();
+    assert!(stats.contains("\"ckpt_spills\":\"0\""), "{stats}");
+    assert_eq!(server.cache_files(), Vec::<String>::new());
+    server.shutdown();
+}
+
 /// A *server* restart must not lose mid-run progress either: checkpoints
 /// spill to `plckpt-*.bin` files beside the result cache, and a fresh
 /// server asked for the same job resumes from the spill instead of
